@@ -6,9 +6,10 @@
 //! module is the proof-carrying-architecture split: the session engine is
 //! fast but untrusted, its results carry replayable certificates, and the
 //! `ra-proofs` kernel is the small trusted checker. A cache hit therefore
-//! skips the expensive solve/panel path and — under [`CacheMode::Replay`] —
-//! replays only the cheap kernel check against the stored advice, or — under
-//! [`CacheMode::Trust`] — returns the exact digest hit directly.
+//! skips the expensive solve/panel path and replays only the cheap kernel
+//! check against the stored advice: a hit is served only when the kernel's
+//! fresh verdict matches the one recorded at insert time, so hits stay as
+//! trustworthy as the kernel.
 //!
 //! The cache is a sharded LRU: the digest's first byte picks a shard, each
 //! shard is an independent mutex around a bounded slab-backed LRU list, so
@@ -39,20 +40,6 @@ pub fn spec_digest(spec: &GameSpec) -> Digest {
     sha256_wire(spec)
 }
 
-/// What to do with a cache hit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Re-run the `ra-proofs` kernel check on the stored advice and serve
-    /// the hit only if the kernel's verdict matches the one recorded at
-    /// insert time; on mismatch, fall back to the full protocol. This is
-    /// the proof-carrying default: hits stay as trustworthy as the kernel.
-    #[default]
-    Replay,
-    /// Serve the exact digest hit directly, skipping even the kernel
-    /// check. Fastest; appropriate when the cache itself is trusted.
-    Trust,
-}
-
 /// Configuration for the certificate cache.
 ///
 /// `Default` is **disabled**: the engine behaves exactly as without a
@@ -67,8 +54,6 @@ pub struct CertCacheConfig {
     /// enabled; rounded up to a per-shard bound, so the effective total
     /// can slightly exceed it).
     pub capacity: usize,
-    /// Hit semantics: replay the kernel check or trust the digest.
-    pub mode: CacheMode,
 }
 
 impl Default for CertCacheConfig {
@@ -76,27 +61,17 @@ impl Default for CertCacheConfig {
         CertCacheConfig {
             enabled: false,
             capacity: 1024,
-            mode: CacheMode::Replay,
         }
     }
 }
 
 impl CertCacheConfig {
-    /// An enabled cache in [`CacheMode::Replay`] with the given capacity.
+    /// An enabled cache with the given capacity. Every hit replays the
+    /// kernel check on the stored advice before it is served.
     pub fn replay(capacity: usize) -> CertCacheConfig {
         CertCacheConfig {
             enabled: true,
             capacity,
-            mode: CacheMode::Replay,
-        }
-    }
-
-    /// An enabled cache in [`CacheMode::Trust`] with the given capacity.
-    pub fn trust(capacity: usize) -> CertCacheConfig {
-        CertCacheConfig {
-            enabled: true,
-            capacity,
-            mode: CacheMode::Trust,
         }
     }
 }
@@ -111,10 +86,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by per-shard LRU pressure.
     pub evictions: u64,
-    /// Replay-mode hits whose fresh kernel verdict contradicted the stored
+    /// Hits whose fresh kernel verdict contradicted the stored
     /// one (the hit is discarded and the full protocol re-runs).
     pub replay_failures: u64,
-    /// Replay-mode hits discarded because the trusted verifier panel
+    /// Hits discarded because the trusted verifier panel
     /// changed since the entry was cached (also counted under `misses`:
     /// the full protocol re-runs and re-primes the entry).
     pub stale: u64,
@@ -137,7 +112,7 @@ pub(crate) struct CachedConsultation {
     /// Per-verifier verdicts as reported in the cold session.
     pub verdict_details: Vec<(Party, bool, String)>,
     /// The [`crate::ReputationSnapshot::panel_version`] the entry was
-    /// minted under. Replay-mode lookups compare it against the current
+    /// minted under. Lookups compare it against the current
     /// panel and treat a mismatch as a miss, so advice vouched for by a
     /// since-excluded (or since-readmitted) panel is never served warm.
     pub panel_version: u64,
@@ -257,7 +232,6 @@ impl LruShard {
 /// [`crate::session::SessionDriver`], so a game solved on one shard is a
 /// hit on all of them.
 pub struct CertCache {
-    mode: CacheMode,
     shards: Vec<Mutex<LruShard>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -269,7 +243,6 @@ pub struct CertCache {
 impl std::fmt::Debug for CertCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CertCache")
-            .field("mode", &self.mode)
             .field("shards", &self.shards.len())
             .field("len", &self.len())
             .field("stats", &self.stats())
@@ -300,7 +273,6 @@ impl CertCache {
         };
         let per_shard = config.capacity.div_ceil(shards);
         CertCache {
-            mode: config.mode,
             shards: (0..shards)
                 .map(|_| Mutex::new(LruShard::new(per_shard)))
                 .collect(),
@@ -310,11 +282,6 @@ impl CertCache {
             replay_failures: AtomicU64::new(0),
             stale: AtomicU64::new(0),
         }
-    }
-
-    /// The configured hit semantics.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
     }
 
     /// Entries currently cached, summed across shards.
@@ -347,28 +314,26 @@ impl CertCache {
     }
 
     /// Looks up a digest. `current_panel` is the caller's current
-    /// [`crate::ReputationSnapshot::panel_version`] when hits must be
-    /// panel-checked (`Replay` mode): a hit minted under a different
-    /// panel is treated as a miss (counted under both `stale` and
-    /// `misses`), so the full protocol re-runs and re-primes the entry
-    /// under the current panel. Pass `None` to skip the check (`Trust`
-    /// mode serves the digest hit unconditionally).
+    /// [`crate::ReputationSnapshot::panel_version`]: a hit minted under a
+    /// different panel is treated as a miss (counted under both `stale`
+    /// and `misses`), so the full protocol re-runs and re-primes the entry
+    /// under the current panel.
     pub(crate) fn lookup(
         &self,
         digest: &Digest,
-        current_panel: Option<u64>,
+        current_panel: u64,
     ) -> Option<Arc<CachedConsultation>> {
         let hit = self
             .shard_of(digest)
             .lock()
             .expect("cache shard lock")
             .lookup(digest);
-        let hit = match (hit, current_panel) {
-            (Some(entry), Some(panel)) if entry.panel_version != panel => {
+        let hit = match hit {
+            Some(entry) if entry.panel_version != current_panel => {
                 self.stale.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            (hit, _) => hit,
+            hit => hit,
         };
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -388,7 +353,7 @@ impl CertCache {
         }
     }
 
-    /// Records a replay-mode hit whose fresh kernel verdict contradicted
+    /// Records a hit whose fresh kernel verdict contradicted
     /// the stored one (the session layer falls back to the full protocol).
     pub(crate) fn note_replay_failure(&self) {
         self.replay_failures.fetch_add(1, Ordering::Relaxed);
@@ -440,10 +405,10 @@ mod tests {
     #[test]
     fn hit_miss_counters_track_lookups() {
         let cache = CertCache::new(CertCacheConfig::replay(8));
-        assert!(cache.lookup(&digest(1), None).is_none());
+        assert!(cache.lookup(&digest(1), 0).is_none());
         cache.insert(digest(1), entry(1));
-        assert!(cache.lookup(&digest(1), None).is_some());
-        assert!(cache.lookup(&digest(2), None).is_none());
+        assert!(cache.lookup(&digest(1), 0).is_some());
+        assert!(cache.lookup(&digest(2), 0).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(cache.len(), 1);
@@ -453,32 +418,29 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_per_shard() {
         // Capacity 3 < 16 collapses to a single shard with capacity 3.
-        let cache = CertCache::new(CertCacheConfig::trust(3));
+        let cache = CertCache::new(CertCacheConfig::replay(3));
         for tag in 0..3 {
             cache.insert(digest(tag), entry(tag as u64));
         }
         // Touch 0 so 1 becomes the LRU victim.
-        assert!(cache.lookup(&digest(0), None).is_some());
+        assert!(cache.lookup(&digest(0), 0).is_some());
         cache.insert(digest(3), entry(3));
         assert_eq!(cache.stats().evictions, 1);
-        assert!(
-            cache.lookup(&digest(1), None).is_none(),
-            "LRU entry evicted"
-        );
-        assert!(cache.lookup(&digest(0), None).is_some());
-        assert!(cache.lookup(&digest(2), None).is_some());
-        assert!(cache.lookup(&digest(3), None).is_some());
+        assert!(cache.lookup(&digest(1), 0).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(&digest(0), 0).is_some());
+        assert!(cache.lookup(&digest(2), 0).is_some());
+        assert!(cache.lookup(&digest(3), 0).is_some());
         assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn reinsert_refreshes_without_eviction() {
-        let cache = CertCache::new(CertCacheConfig::trust(2));
+        let cache = CertCache::new(CertCacheConfig::replay(2));
         cache.insert(digest(1), entry(1));
         cache.insert(digest(1), entry(100));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-        let hit = cache.lookup(&digest(1), None).expect("refreshed entry");
+        let hit = cache.lookup(&digest(1), 0).expect("refreshed entry");
         assert_eq!(
             hit.advice,
             Advice::Dominant {
@@ -491,7 +453,7 @@ mod tests {
 
     #[test]
     fn slab_slots_are_recycled_under_churn() {
-        let cache = CertCache::new(CertCacheConfig::trust(2));
+        let cache = CertCache::new(CertCacheConfig::replay(2));
         for round in 0..20u8 {
             cache.insert(digest(round), entry(round as u64));
         }
@@ -521,21 +483,19 @@ mod tests {
     #[test]
     fn panel_mismatch_is_a_miss_when_guarded() {
         let cache = CertCache::new(CertCacheConfig::replay(8));
-        // The entry is minted under panel 0; unguarded (Trust-mode)
-        // lookups serve the hit regardless.
+        // The entry is minted under panel 0: a lookup under the same
+        // panel hits.
         cache.insert(digest(1), entry(1));
-        assert!(cache.lookup(&digest(1), None).is_some());
-        // Guarded lookup under the same panel: a hit.
-        assert!(cache.lookup(&digest(1), Some(0)).is_some());
-        // Guarded lookup under a newer panel: stale, counted as a miss.
-        assert!(cache.lookup(&digest(1), Some(1)).is_none());
+        assert!(cache.lookup(&digest(1), 0).is_some());
+        // A lookup under a newer panel: stale, counted as a miss.
+        assert!(cache.lookup(&digest(1), 1).is_none());
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stale), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.stale), (1, 1, 1));
         // Re-priming under the new panel makes it hit again.
         let mut fresh = entry(1);
         fresh.panel_version = 1;
         cache.insert(digest(1), fresh);
-        assert!(cache.lookup(&digest(1), Some(1)).is_some());
+        assert!(cache.lookup(&digest(1), 1).is_some());
     }
 
     #[test]

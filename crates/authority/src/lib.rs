@@ -31,10 +31,9 @@
 //! * [`CertCache`] — the content-addressed certificate cache: a
 //!   consultation is memoized under the SHA-256 digest of its game spec's
 //!   canonical wire encoding ([`spec_digest`]) in a sharded LRU, and a
-//!   later consultation of the same spec is served from the cache — after
-//!   re-running the trusted checker ([`kernel_check`]) under
-//!   [`CacheMode::Replay`], or directly under [`CacheMode::Trust`].
-//!   Off by default ([`CertCacheConfig`]); enable it per engine with
+//!   later consultation of the same spec is served from the cache after
+//!   re-running the trusted checker ([`kernel_check`]) on the stored
+//!   advice. Off by default ([`CertCacheConfig`]); enable it per engine with
 //!   [`ShardedAuthority::with_cert_cache`];
 //! * [`ShardedAuthority`] — the sharded multi-bus session engine: routed
 //!   single consultations and batched fan-out across shards over a
@@ -70,7 +69,7 @@ mod wire;
 
 pub use audit::{AuditError, StatisticsLedger, StatisticsRecord};
 pub use bus::Bus;
-pub use cache::{spec_digest, CacheMode, CacheStats, CertCache, CertCacheConfig};
+pub use cache::{spec_digest, CacheStats, CertCache, CertCacheConfig};
 pub use crypto::{
     hmac_sha256, sha256, sha256_wire, to_hex, Commitment, Digest, Signature, SigningKey,
 };
@@ -79,8 +78,8 @@ pub use messages::{Advice, Message, Party};
 pub use private_session::{run_p2_session, P2Prover, P2SessionOutcome};
 pub use reputation::{
     DecayingPnCounterMap, GossipPlane, GossipReputation, LocalReputation, MajorityOutcome,
-    PnCounter, ReputationBackend, ReputationDecay, ReputationSnapshot, ReputationStore,
-    VersionVector, VoteRule, EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
+    PnCounter, ReputationBackend, ReputationDecay, ReputationSnapshot, VersionVector, VoteRule,
+    EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
 };
 pub use session::{
     BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, RationalityAuthority,

@@ -198,10 +198,11 @@ pub enum Message {
     },
     /// A resilient-session envelope around any other protocol message.
     ///
-    /// The loss-tolerant consultation path wraps its sends in this frame
-    /// so receivers can dedup retries idempotently: `session` identifies
-    /// the consultation (the game id, unique per driver) and `attempt` is
-    /// the 0-based retransmission sequence number for this hop. Replies
+    /// A consultation sends the first attempt of every hop bare and wraps
+    /// only its retries in this frame, so receivers can dedup them
+    /// idempotently: `session` identifies the consultation (the game id,
+    /// unique per driver) and `attempt` is the 0-based retransmission
+    /// sequence number for this hop. Replies
     /// echo the request's `attempt`, so the ledger can classify both
     /// directions of a retry (`attempt > 0`) as retransmit bytes. The
     /// envelope never nests: `inner` holding another `Resilient` frame is

@@ -21,6 +21,12 @@
 //! or gossiped engine-wide all live behind the [`ReputationBackend`]
 //! trait, so the Fig. 1 flow never changes when the plane does.
 //!
+//! There is one protocol body. Without a [`ResilienceConfig`] it sends
+//! every hop once and needs the whole live panel to answer; with one it
+//! retransmits on backoff within a deadline and may close the panel at
+//! quorum. First attempts always travel bare, so both move exactly the
+//! Fig. 1 bytes on a lossless link.
+//!
 //! The flow is also the engine's *hot path*, and it is written to stay
 //! off the allocator and off contended locks in the steady state: endpoint
 //! drains reuse one receive buffer ([`Endpoint::drain_into`]), the
@@ -34,8 +40,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bus::Bus;
-use crate::cache::{spec_digest, CacheMode, CachedConsultation, CertCache};
-use crate::inventor::{GameSpec, Inventor};
+use crate::cache::{spec_digest, CachedConsultation, CertCache};
+use crate::inventor::{GameSpec, Inventor, InventorBehavior};
 use crate::messages::{Advice, Message, Party};
 use crate::reputation::{LocalReputation, MajorityOutcome, ReputationBackend};
 use crate::transport::{Endpoint, Transport};
@@ -47,8 +53,8 @@ use crate::wire::Wire;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PanelOutcome {
     /// Every trusted verifier's verdict arrived (always the case when
-    /// resilience is off: whatever arrived *is* the panel the legacy
-    /// protocol pools).
+    /// resilience is off: a single-shot panel missing a verdict fails
+    /// with [`ConsultError::Deadline`] instead).
     #[default]
     Full,
     /// The vote closed at quorum after the deadline budget ran out; the
@@ -60,8 +66,7 @@ pub enum PanelOutcome {
     },
 }
 
-/// Which protocol stage a resilient consultation was in when its
-/// deadline budget ran out.
+/// Which protocol stage a consultation was in when its budget ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsultStage {
     /// Waiting for the inventor's advice-with-proof.
@@ -79,8 +84,8 @@ impl std::fmt::Display for ConsultStage {
     }
 }
 
-/// A typed consultation failure — what a resilient session returns
-/// instead of a silently half-empty [`SessionOutcome`].
+/// A typed consultation failure — what a session returns instead of a
+/// silently half-empty [`SessionOutcome`] or a quiet minority vote.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConsultError {
     /// The deadline budget (or retry budget) ran out before the stage
@@ -123,7 +128,7 @@ impl std::fmt::Display for ConsultError {
 
 impl std::error::Error for ConsultError {}
 
-/// Result type of a resilient consultation.
+/// Result type of a consultation.
 pub type ConsultResult = Result<SessionOutcome, ConsultError>;
 
 /// Exponential-backoff shape for resilient retransmissions: the k-th
@@ -181,8 +186,10 @@ impl BackoffConfig {
 /// Per-consultation resilience budget: deadlines, retransmission and
 /// quorum degradation for the Fig. 1 flow. Attach with
 /// [`SessionDriver::set_resilience`] /
-/// [`RationalityAuthority::set_resilience`]; the default (no config) is
-/// the legacy fire-and-forget protocol, bit-for-bit.
+/// [`RationalityAuthority::set_resilience`]; the default (no config)
+/// sends every hop once and needs the whole live panel to answer. Either
+/// way the first attempt of every hop moves exactly the Fig. 1 bytes:
+/// only retries are wrapped in a [`Message::Resilient`] envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Total virtual-tick budget per consultation; when the transport's
@@ -227,7 +234,8 @@ impl ResilienceConfig {
 /// Outcome of one consultation.
 #[derive(Clone, Debug)]
 pub struct SessionOutcome {
-    /// The advice received (if the inventor answered).
+    /// The advice received; `None` only when the inventor declined
+    /// because it has no advice for the game.
     pub advice: Option<Advice>,
     /// The pooled verdict (if advice was received and verifiers exist).
     pub majority: Option<MajorityOutcome>,
@@ -275,15 +283,15 @@ pub struct SessionDriver {
     /// here via [`Endpoint::drain_into`], so steady-state consults never
     /// allocate a fresh inbox `Vec`.
     recv_buf: Vec<(Party, Message)>,
-    /// Reusable fan-out buffer for [`Bus::send_batch`]: verdict requests
-    /// and verdict replies are staged here and shipped in one accounting
-    /// critical section each.
+    /// Reusable staging buffer for [`Bus::send_batch`]: each stage's
+    /// requests and each service pass's replies are staged here and
+    /// shipped in one accounting critical section.
     send_buf: Vec<(Party, Party, Message)>,
     /// Optional content-addressed certificate cache, shared across drivers
     /// (`None` — the default — leaves the protocol bit-for-bit unchanged).
     cert_cache: Option<Arc<CertCache>>,
-    /// Optional resilience budget (`None` — the default — leaves the
-    /// protocol bit-for-bit unchanged: no envelopes, no retries).
+    /// Optional resilience budget (`None` — the default — runs the
+    /// single-shot flow: one attempt per hop, the whole panel as quorum).
     resilience: Option<ResilienceConfig>,
     /// Driver-local jitter stream for retry backoff, seeded from
     /// [`ResilienceConfig::seed`] so resilient runs are replayable.
@@ -354,10 +362,9 @@ impl SessionDriver {
     }
 
     /// Attaches (or with `None` removes) a resilience budget: subsequent
-    /// sessions run the loss-tolerant protocol — enveloped frames with
-    /// deadlines, retransmit/backoff and quorum degradation — via
-    /// [`SessionDriver::try_run`]. Without one, the legacy
-    /// fire-and-forget flow runs unchanged.
+    /// sessions retransmit on backoff within a deadline and may close the
+    /// panel at quorum (see [`SessionDriver::try_run`]). Without one,
+    /// every hop is sent once and the whole live panel must answer.
     ///
     /// # Panics
     ///
@@ -412,50 +419,45 @@ impl SessionDriver {
     ///
     /// With no certificate cache attached (the default) this *is* the full
     /// Fig. 1 protocol. With one attached, the spec's digest is looked up
-    /// first: a hit short-circuits the protocol entirely — zero bus bytes,
-    /// no reputation update, `cached: true` — after replaying the
-    /// `ra-proofs` kernel check when the cache is in
-    /// [`CacheMode::Replay`] (a verdict mismatch discards the hit and
+    /// first: a hit minted under the current verifier panel replays the
+    /// `ra-proofs` kernel check on the stored advice and, when the verdict
+    /// matches, short-circuits the protocol entirely — zero bus bytes, no
+    /// reputation update, `cached: true` (a mismatch discards the hit and
     /// falls back to the full protocol). Misses run the protocol and
     /// memoize the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the consultation fails (a stage starved; see
+    /// [`ConsultError`]) — use [`SessionDriver::try_run`] to handle that.
     pub fn run(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> SessionOutcome {
         match self.try_run(agent, game_id, spec) {
             Ok(outcome) => outcome,
-            Err(e) => panic!("resilient consultation failed ({e}); use try_run to handle errors"),
+            Err(e) => panic!("consultation failed ({e}); use try_run to handle errors"),
         }
     }
 
-    /// [`SessionDriver::run`] with typed failure: the resilient protocol
-    /// (when a [`ResilienceConfig`] is attached) returns
-    /// [`ConsultError::Deadline`] when a stage's budget runs out instead
-    /// of a half-empty outcome. Without a config this never errors — it
-    /// runs exactly the legacy flow.
+    /// [`SessionDriver::run`] with typed failure: a stage that starves —
+    /// a silent or unreachable inventor, or a panel below quorum —
+    /// returns [`ConsultError::Deadline`] instead of a half-empty outcome.
+    /// Without a [`ResilienceConfig`] every hop is sent once and the
+    /// quorum is the whole live panel.
     pub fn try_run(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
         let Some(cache) = self.cert_cache.clone() else {
-            return self.dispatch(agent, game_id, spec);
+            return self.run_session(agent, game_id, spec);
         };
         let digest = spec_digest(spec);
-        // Replay hits are panel-guarded: an entry minted under a
-        // different trusted-verifier set (ReputationSnapshot
-        // panel_version) is treated as a miss, so exclusions invalidate
-        // warm advice. Trust mode serves the digest hit unconditionally.
-        let panel_guard = match cache.mode() {
-            CacheMode::Replay => Some(self.reputation.snapshot().panel_version()),
-            CacheMode::Trust => None,
-        };
-        if let Some(entry) = cache.lookup(&digest, panel_guard) {
-            match cache.mode() {
-                CacheMode::Trust => return Ok(Self::outcome_from_cache(&entry)),
-                CacheMode::Replay => {
-                    let (kernel_accepts, _) = kernel_check(spec, &entry.advice);
-                    if kernel_accepts == entry.kernel_accepts {
-                        return Ok(Self::outcome_from_cache(&entry));
-                    }
-                    cache.note_replay_failure();
-                }
+        // Hits are panel-guarded: an entry minted under a different
+        // trusted-verifier set (ReputationSnapshot panel_version) is
+        // treated as a miss, so exclusions invalidate warm advice.
+        if let Some(entry) = cache.lookup(&digest, self.reputation.snapshot().panel_version()) {
+            let (kernel_accepts, _) = kernel_check(spec, &entry.advice);
+            if kernel_accepts == entry.kernel_accepts {
+                return Ok(Self::outcome_from_cache(&entry));
             }
+            cache.note_replay_failure();
         }
-        let outcome = self.dispatch(agent, game_id, spec)?;
+        let outcome = self.run_session(agent, game_id, spec)?;
         // Degraded closes are never memoized: their majority was pooled
         // over a partial panel, so serving them warm would replay a
         // quorum vote as if the full panel had vouched for it.
@@ -473,7 +475,7 @@ impl SessionDriver {
                     adopted: outcome.adopted,
                     advice_bytes: outcome.advice_bytes,
                     verdict_details: outcome.verdict_details.clone(),
-                    // Stamped *after* run_protocol, so an exclusion caused
+                    // Stamped *after* the session, so an exclusion caused
                     // by this very consult is already reflected.
                     panel_version: self.reputation.snapshot().panel_version(),
                 },
@@ -498,178 +500,24 @@ impl SessionDriver {
         }
     }
 
-    /// Routes a consultation to the legacy fire-and-forget flow (no
-    /// resilience attached — infallible, bit-for-bit the pre-resilience
-    /// protocol) or to the loss-tolerant enveloped flow.
-    fn dispatch(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
-        match self.resilience {
-            None => Ok(self.run_protocol(agent, game_id, spec)),
-            Some(cfg) => self.run_resilient(agent, game_id, spec, cfg),
-        }
-    }
-
-    /// The full Fig. 1 message flow (always what runs on a cache miss or
-    /// with no cache attached).
-    fn run_protocol(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> SessionOutcome {
-        self.ensure_agent(agent);
-        let bytes_before = self.bus.total_bytes();
-
-        // 1. Agent → inventor: request.
-        self.bus
-            .send(agent, self.inventor.id, Message::AdviceRequest { game_id })
-            .expect("inventor registered");
-        // Inventor processes its queue. Drains reuse `recv_buf` so the
-        // steady state allocates no inbox Vec per hop. Every drain is
-        // preceded by a settle so latency-delayed frames land first (a
-        // no-op on the perfect bus).
-        self.bus.settle();
-        self.recv_buf.clear();
-        self.endpoints[&self.inventor.id].drain_into(&mut self.recv_buf);
-        let mut advice: Option<Advice> = None;
-        for (from, msg) in self.recv_buf.drain(..) {
-            if let (Message::AdviceRequest { game_id: gid }, true) = (&msg, from == agent) {
-                if *gid == game_id {
-                    advice = self.inventor.advise(spec);
-                }
-            }
-        }
-        let mut advice_bytes = 0;
-        if let Some(a) = advice {
-            // Single recipient: the advice moves into the frame (the agent
-            // hands it back through its endpoint below), so the inventor→
-            // agent hop costs no payload clone.
-            let msg = Message::AdviceWithProof {
-                game_id,
-                advice: Box::new(a),
-            };
-            advice_bytes = msg.encoded_len();
-            self.bus
-                .send(self.inventor.id, agent, msg)
-                .expect("agent registered");
-        }
-        // Agent receives.
-        self.bus.settle();
-        self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
-        let received = self.recv_buf.drain(..).find_map(|(_, m)| match m {
-            Message::AdviceWithProof { advice, .. } => Some(*advice),
-            _ => None,
-        });
-        let Some(received_advice) = received else {
-            return SessionOutcome {
-                advice: None,
-                majority: None,
-                adopted: false,
-                advice_bytes: 0,
-                session_bytes: self.bus.total_bytes() - bytes_before,
-                verdict_details: Vec::new(),
-                cached: false,
-                panel: PanelOutcome::Full,
-                attempts: 0,
-            };
-        };
-
-        // 2. Agent → trusted verifiers: verdict requests (and replies).
-        // The same advice fans out to the whole panel, so it is shared:
-        // every frame is a reference-count bump, not a proof-tree clone.
-        // Trust checks read one immutable snapshot taken here — the
-        // backend's data lock is untouched until the verdicts pool, so a
-        // gossip merge on another shard never contends with this fan-out
-        // (and the panel seen by one consult is always a whole epoch).
-        let reputation_view = self.reputation.snapshot();
-        let advice_payload = Arc::new(received_advice);
-        self.send_buf.clear();
-        for verifier in &self.verifiers {
-            if !reputation_view.is_trusted(verifier.id) {
-                continue;
-            }
-            self.send_buf.push((
-                agent,
-                verifier.id,
-                Message::VerdictRequest {
-                    game_id,
-                    advice: Arc::clone(&advice_payload),
-                },
-            ));
-        }
-        // One accounting critical section for the whole request fan-out;
-        // send_batch drains the buffer so its allocation is reused.
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("verifier registered");
-        // Each verifier processes its queue; the replies batch the same
-        // way back to the agent.
-        self.bus.settle();
-        let mut verdict_details = Vec::new();
-        for verifier in &self.verifiers {
-            if !reputation_view.is_trusted(verifier.id) {
-                continue;
-            }
-            self.recv_buf.clear();
-            self.endpoints[&verifier.id].drain_into(&mut self.recv_buf);
-            for (from, msg) in self.recv_buf.drain(..) {
-                if let Message::VerdictRequest { advice, .. } = msg {
-                    let (accepted, detail) = verifier.verify(spec, &advice);
-                    self.send_buf.push((
-                        verifier.id,
-                        from,
-                        Message::Verdict {
-                            game_id,
-                            accepted,
-                            detail: detail.clone(),
-                        },
-                    ));
-                    verdict_details.push((verifier.id, accepted, detail));
-                }
-            }
-        }
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("agent registered");
-        // Agent collects verdicts.
-        self.bus.settle();
-        let mut verdicts: Vec<(Party, bool)> = Vec::new();
-        self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
-        for (from, msg) in self.recv_buf.drain(..) {
-            if let Message::Verdict { accepted, .. } = msg {
-                verdicts.push((from, accepted));
-            }
-        }
-
-        // 3. Majority + reputation update.
-        let majority = if verdicts.is_empty() {
-            None
-        } else {
-            Some(self.reputation.pool_verdicts(&verdicts))
-        };
-        let adopted = majority.as_ref().is_some_and(|m| m.accepted);
-        // Every verifier has processed its queue, so the shared payload is
-        // normally unique again and unwraps without copying.
-        let received_advice = Arc::try_unwrap(advice_payload).unwrap_or_else(|a| (*a).clone());
-        SessionOutcome {
-            advice: Some(received_advice),
-            majority,
-            adopted,
-            advice_bytes,
-            session_bytes: self.bus.total_bytes() - bytes_before,
-            verdict_details,
-            cached: false,
-            panel: PanelOutcome::Full,
-            attempts: 0,
-        }
-    }
-
-    /// The loss-tolerant Fig. 1 flow. Every frame ships inside a
-    /// [`Message::Resilient`] envelope carrying the session id and an
-    /// attempt sequence number; the agent retransmits on the configured
-    /// exponential backoff (driven through the transport's virtual clock)
-    /// until the stage completes, `max_attempts` sends are spent, or the
-    /// deadline budget runs out. Responders answer each distinct attempt
-    /// exactly once — duplicates from at-least-once links are dropped —
-    /// and compute their advice/verdict a single time per session; replies
-    /// echo the request's attempt number, so the Lemma 1 ledger classifies
-    /// all retry traffic (both directions) as retransmit bytes.
+    /// The Fig. 1 message flow — the one protocol body behind every
+    /// consult, with or without a [`ResilienceConfig`] (without one it runs
+    /// [`SINGLE_SHOT`]).
+    ///
+    /// Each stage sends its requests, then settles, serves and collects
+    /// until it completes or the attempt's wait window closes; an
+    /// incomplete stage retransmits on the configured exponential backoff
+    /// (driven through the transport's virtual clock) until `max_attempts`
+    /// sends are spent or the deadline budget runs out. First attempts
+    /// travel bare, retries inside a [`Message::Resilient`] envelope (see
+    /// [`frame`]). Responders answer each distinct attempt exactly once —
+    /// duplicates from at-least-once links are dropped — and compute their
+    /// advice/verdict a single time per session; replies echo the
+    /// request's attempt, so the Lemma 1 ledger classifies all retry
+    /// traffic (both directions) as retransmit bytes. A send that fails
+    /// (an unregistered or disconnected party) is a lost frame. An
+    /// inventor with no advice for the game declines: the consult ends
+    /// without advice, polls no panel and is not retried.
     ///
     /// The panel stage closes *full* when every trusted verifier answers,
     /// or *degraded* at `quorum` responses once the budget is spent — in
@@ -682,43 +530,105 @@ impl SessionDriver {
     /// On a clockless transport (the perfect [`Bus`], whose `now()` never
     /// moves) each attempt gets exactly one service pass and only
     /// `max_attempts` bounds the loop.
-    fn run_resilient(
-        &mut self,
-        agent: Party,
-        game_id: u64,
-        spec: &GameSpec,
-        cfg: ResilienceConfig,
-    ) -> ConsultResult {
+    fn run_session(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
         self.ensure_agent(agent);
+        let cfg = self.resilience.unwrap_or(SINGLE_SHOT);
         let bytes_before = self.bus.total_bytes();
-        let started = self.bus.now();
-        let deadline_at = started.saturating_add(cfg.deadline);
-        let mut st = ResilientState::default();
+        let mut s = Session::new(agent, game_id, spec, cfg, self.bus.now());
 
         // Stage 1: advice, at-least-once.
+        self.drive_stage(ConsultStage::Advice, &mut s);
+        if !s.complete(ConsultStage::Advice) {
+            let missing = vec![self.inventor.id];
+            return Err(s.starved(ConsultStage::Advice, self.bus.now(), 1, missing));
+        }
+
+        // Stage 2: panel fan-out, closing full or at quorum; a declined
+        // consult has nothing to check and polls no panel. Trust checks
+        // read one immutable snapshot taken here — the backend's data lock
+        // is untouched until the verdicts pool, so a gossip merge on
+        // another shard never contends with this fan-out (and the panel
+        // seen by one consult is always a whole epoch).
+        if s.agent_advice.is_some() {
+            let reputation_view = self.reputation.snapshot();
+            s.panel = self
+                .verifiers
+                .iter()
+                .map(|v| v.id)
+                .filter(|&v| reputation_view.is_trusted(v))
+                .collect();
+            self.drive_stage(ConsultStage::Panel, &mut s);
+        }
+        let missing: Vec<Party> = s
+            .panel
+            .iter()
+            .copied()
+            .filter(|v| !s.agent_verdicts.contains_key(v))
+            .collect();
+        let mut panel_outcome = PanelOutcome::Full;
+        if !missing.is_empty() {
+            let quorum = cfg.quorum.min(s.panel.len());
+            if s.agent_verdicts.len() < quorum {
+                return Err(s.starved(ConsultStage::Panel, self.bus.now(), quorum, missing));
+            }
+            // A responding quorum evidences a live network, so the silent
+            // rest pays: close degraded and report them to the reputation
+            // plane.
+            self.reputation.report_unresponsive(&missing);
+            panel_outcome = PanelOutcome::Degraded { missing };
+        }
+
+        // Stage 3: majority + reputation update, pooled in panel order so
+        // runs are deterministic regardless of arrival order.
+        let mut verdicts: Vec<(Party, bool)> = Vec::new();
+        let mut verdict_details = Vec::new();
+        for &verifier in &s.panel {
+            if let Some((accepted, detail)) = s.agent_verdicts.remove(&verifier) {
+                verdicts.push((verifier, accepted));
+                verdict_details.push((verifier, accepted, detail));
+            }
+        }
+        let majority = if verdicts.is_empty() {
+            None
+        } else {
+            Some(self.reputation.pool_verdicts(&verdicts))
+        };
+        // Every verifier has drained its queue, so the shared payload is
+        // normally unique again and unwraps without copying.
+        let advice = s
+            .agent_advice
+            .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()));
+        Ok(SessionOutcome {
+            advice,
+            adopted: majority.as_ref().is_some_and(|m| m.accepted),
+            majority,
+            advice_bytes: s.advice_bytes,
+            session_bytes: self.bus.total_bytes() - bytes_before,
+            verdict_details,
+            cached: false,
+            panel: panel_outcome,
+            attempts: s.retransmits,
+        })
+    }
+
+    /// Drives one stage: sends its outstanding requests, then settles,
+    /// serves and collects until the stage completes or the attempt's wait
+    /// window closes, and retries until the attempt or deadline budget is
+    /// spent. Whether the stage completed is read off the session.
+    fn drive_stage(&mut self, stage: ConsultStage, s: &mut Session<'_>) {
         let mut attempt: u32 = 0;
         loop {
-            if attempt > 0 {
-                st.retransmits += 1;
-            }
-            self.bus
-                .send(
-                    agent,
-                    self.inventor.id,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(Message::AdviceRequest { game_id }),
-                    },
-                )
-                .expect("inventor registered");
-            let wait_until = self.wait_until(attempt, &cfg, deadline_at);
+            self.send_requests(stage, s, attempt);
+            let wait_until = self.wait_until(attempt, &s.cfg, s.deadline_at);
             loop {
                 self.bus.settle();
-                self.serve_inventor(&mut st, spec, agent, game_id);
+                match stage {
+                    ConsultStage::Advice => self.serve_inventor(s),
+                    ConsultStage::Panel => self.serve_verifiers(s),
+                }
                 self.bus.settle();
-                self.collect_agent(&mut st, agent, game_id);
-                if st.agent_advice.is_some() || self.bus.now() >= wait_until {
+                self.collect_agent(s);
+                if s.complete(stage) || self.bus.now() >= wait_until {
                     break;
                 }
                 let before = self.bus.now();
@@ -728,135 +638,54 @@ impl SessionDriver {
                     break;
                 }
             }
-            if st.agent_advice.is_some() {
-                break;
-            }
             attempt += 1;
-            if attempt >= cfg.max_attempts || self.bus.now() >= deadline_at {
-                return Err(ConsultError::Deadline {
-                    stage: ConsultStage::Advice,
-                    attempts: st.retransmits,
-                    elapsed: self.bus.now().saturating_sub(started),
-                    received: 0,
-                    quorum: 1,
-                    missing: vec![self.inventor.id],
-                });
+            if s.complete(stage) || attempt >= s.cfg.max_attempts || self.bus.now() >= s.deadline_at
+            {
+                return;
             }
         }
-        let received_advice = st.agent_advice.take().expect("advice stage completed");
+    }
 
-        // Stage 2: panel fan-out, closing full or at quorum. Trust checks
-        // read one immutable snapshot, exactly like the legacy flow.
-        let reputation_view = self.reputation.snapshot();
-        let panel: Vec<Party> = self
-            .verifiers
-            .iter()
-            .map(|v| v.id)
-            .filter(|&v| reputation_view.is_trusted(v))
-            .collect();
-        let advice_payload = Arc::new(received_advice);
-        let quorum = cfg.quorum.min(panel.len());
-        let mut panel_outcome = PanelOutcome::Full;
-        if !panel.is_empty() {
-            let mut attempt: u32 = 0;
-            loop {
-                self.send_buf.clear();
-                for &verifier in &panel {
-                    if st.agent_verdicts.contains_key(&verifier) {
-                        continue;
-                    }
-                    if attempt > 0 {
-                        st.retransmits += 1;
-                    }
-                    self.send_buf.push((
-                        agent,
-                        verifier,
-                        Message::Resilient {
-                            session: game_id,
-                            attempt,
-                            inner: Box::new(Message::VerdictRequest {
-                                game_id,
-                                advice: Arc::clone(&advice_payload),
+    /// Sends attempt `attempt` of a stage's outstanding requests in one
+    /// batch: the advice request, or a verdict request to every panel
+    /// member not yet heard from (the advice is shared, so each frame is a
+    /// reference-count bump, not a proof-tree clone).
+    fn send_requests(&mut self, stage: ConsultStage, s: &mut Session<'_>, attempt: u32) {
+        let wrap = |inner| frame(s.game_id, attempt, inner);
+        match (stage, &s.agent_advice) {
+            (ConsultStage::Advice, _) => self.send_buf.push((
+                s.agent,
+                self.inventor.id,
+                wrap(Message::AdviceRequest { game_id: s.game_id }),
+            )),
+            (ConsultStage::Panel, Some(advice)) => {
+                for &verifier in &s.panel {
+                    if !s.agent_verdicts.contains_key(&verifier) {
+                        self.send_buf.push((
+                            s.agent,
+                            verifier,
+                            wrap(Message::VerdictRequest {
+                                game_id: s.game_id,
+                                advice: Arc::clone(advice),
                             }),
-                        },
-                    ));
-                }
-                self.bus
-                    .send_batch(&mut self.send_buf)
-                    .expect("verifier registered");
-                let wait_until = self.wait_until(attempt, &cfg, deadline_at);
-                loop {
-                    self.bus.settle();
-                    self.serve_verifiers(&mut st, spec, game_id);
-                    self.bus.settle();
-                    self.collect_agent(&mut st, agent, game_id);
-                    if st.agent_verdicts.len() == panel.len() || self.bus.now() >= wait_until {
-                        break;
+                        ));
                     }
-                    let before = self.bus.now();
-                    self.bus.advance(1);
-                    if self.bus.now() == before {
-                        break;
-                    }
-                }
-                if st.agent_verdicts.len() == panel.len() {
-                    break;
-                }
-                attempt += 1;
-                if attempt >= cfg.max_attempts || self.bus.now() >= deadline_at {
-                    let missing: Vec<Party> = panel
-                        .iter()
-                        .copied()
-                        .filter(|v| !st.agent_verdicts.contains_key(v))
-                        .collect();
-                    if st.agent_verdicts.len() >= quorum {
-                        // A responding quorum evidences a live network, so
-                        // the silent rest pays: close degraded and report
-                        // them to the reputation plane.
-                        self.reputation.report_unresponsive(&missing);
-                        panel_outcome = PanelOutcome::Degraded { missing };
-                        break;
-                    }
-                    return Err(ConsultError::Deadline {
-                        stage: ConsultStage::Panel,
-                        attempts: st.retransmits,
-                        elapsed: self.bus.now().saturating_sub(started),
-                        received: st.agent_verdicts.len(),
-                        quorum,
-                        missing,
-                    });
                 }
             }
+            (ConsultStage::Panel, None) => {}
         }
+        if attempt > 0 {
+            s.retransmits += self.send_buf.len() as u64;
+        }
+        self.send_frames();
+    }
 
-        // Stage 3: majority + reputation update, pooled in panel order so
-        // resilient runs are deterministic regardless of arrival order.
-        let mut verdicts: Vec<(Party, bool)> = Vec::new();
-        let mut verdict_details = Vec::new();
-        for &verifier in &panel {
-            if let Some((accepted, detail)) = st.agent_verdicts.get(&verifier) {
-                verdicts.push((verifier, *accepted));
-                verdict_details.push((verifier, *accepted, detail.clone()));
-            }
-        }
-        let majority = if verdicts.is_empty() {
-            None
-        } else {
-            Some(self.reputation.pool_verdicts(&verdicts))
-        };
-        let adopted = majority.as_ref().is_some_and(|m| m.accepted);
-        let received_advice = Arc::try_unwrap(advice_payload).unwrap_or_else(|a| (*a).clone());
-        Ok(SessionOutcome {
-            advice: Some(received_advice),
-            majority,
-            adopted,
-            advice_bytes: st.advice_bytes,
-            session_bytes: self.bus.total_bytes() - bytes_before,
-            verdict_details,
-            cached: false,
-            panel: panel_outcome,
-            attempts: st.retransmits,
-        })
+    /// Ships the staged frames in one accounting critical section;
+    /// `send_batch` drains the buffer, so its allocation is reused. A
+    /// failed send is a lost frame: its recipient stays silent and the
+    /// stage closes through its deadline like any other starved one.
+    fn send_frames(&mut self) {
+        let _ = self.bus.send_batch(&mut self.send_buf);
     }
 
     /// The virtual-clock instant at which attempt `attempt`'s wait window
@@ -875,145 +704,94 @@ impl SessionDriver {
     }
 
     /// Inventor-side service pass: answers each distinct `(session,
-    /// attempt)` advice request exactly once — duplicated frames are
-    /// dropped — computing the advice a single time per session. Replies
-    /// echo the request's attempt, so retries classify as retransmit
-    /// bytes in the ledger.
-    fn serve_inventor(
-        &mut self,
-        st: &mut ResilientState,
-        spec: &GameSpec,
-        agent: Party,
-        game_id: u64,
-    ) {
+    /// attempt)` advice request from the agent exactly once — duplicated
+    /// frames are dropped — computing the advice a single time per
+    /// session. A Silent inventor never answers, so the advice stage
+    /// starves.
+    fn serve_inventor(&mut self, s: &mut Session<'_>) {
         self.recv_buf.clear();
         self.endpoints[&self.inventor.id].drain_into(&mut self.recv_buf);
         for (from, msg) in self.recv_buf.drain(..) {
-            let Message::Resilient {
-                session,
-                attempt,
-                inner,
-            } = msg
-            else {
+            let Some((session, attempt, Message::AdviceRequest { .. })) = unframe(msg) else {
                 continue;
             };
-            if session != game_id || from != agent {
+            if session != s.game_id || from != s.agent || !s.served_advice.insert(attempt) {
                 continue;
             }
-            let Message::AdviceRequest { .. } = *inner else {
+            let advice = s
+                .inventor_advice
+                .get_or_insert_with(|| self.inventor.advise(s.spec));
+            let Some(advice) = advice.clone() else {
+                // No advice for this game. A silent inventor never
+                // answers, so the stage starves; any other inventor
+                // declines, and the consult ends without advice.
+                s.declined = self.inventor.behavior != InventorBehavior::Silent;
                 continue;
             };
-            if !st.served_advice.insert(attempt) {
-                continue;
-            }
-            if !st.advice_computed {
-                st.advice_computed = true;
-                st.inventor_advice = self.inventor.advise(spec);
-            }
-            // A Silent inventor never answers; the agent's budget starves
-            // and the session fails loudly with a Deadline error.
-            let Some(advice) = st.inventor_advice.clone() else {
-                continue;
-            };
-            let payload = Message::AdviceWithProof {
-                game_id,
+            let reply = Message::AdviceWithProof {
+                game_id: s.game_id,
                 advice: Box::new(advice),
             };
-            if st.advice_bytes == 0 {
-                st.advice_bytes = payload.encoded_len();
-            }
-            self.bus
-                .send(
-                    self.inventor.id,
-                    from,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(payload),
-                    },
-                )
-                .expect("agent registered");
+            s.advice_bytes = reply.encoded_len();
+            self.send_buf
+                .push((self.inventor.id, from, frame(s.game_id, attempt, reply)));
         }
+        self.send_frames();
     }
 
-    /// Verifier-side service pass: each panel member answers each distinct
+    /// Verifier-side service pass: each verifier answers each distinct
     /// `(session, attempt)` verdict request once, memoizing its verdict so
-    /// retries never re-verify. Replies batch back to the agent in one
-    /// accounting critical section.
-    fn serve_verifiers(&mut self, st: &mut ResilientState, spec: &GameSpec, game_id: u64) {
-        for i in 0..self.verifiers.len() {
-            let vid = self.verifiers[i].id;
+    /// retries never re-verify.
+    fn serve_verifiers(&mut self, s: &mut Session<'_>) {
+        for verifier in &self.verifiers {
             self.recv_buf.clear();
-            self.endpoints[&vid].drain_into(&mut self.recv_buf);
+            self.endpoints[&verifier.id].drain_into(&mut self.recv_buf);
             for (from, msg) in self.recv_buf.drain(..) {
-                let Message::Resilient {
-                    session,
-                    attempt,
-                    inner,
-                } = msg
+                let Some((session, attempt, Message::VerdictRequest { advice, .. })) = unframe(msg)
                 else {
                     continue;
                 };
-                if session != game_id {
+                if session != s.game_id || !s.served_verdicts.insert((verifier.id, attempt)) {
                     continue;
                 }
-                let Message::VerdictRequest { advice, .. } = *inner else {
-                    continue;
+                let (accepted, detail) = s
+                    .verifier_verdicts
+                    .entry(verifier.id)
+                    .or_insert_with(|| verifier.verify(s.spec, &advice))
+                    .clone();
+                let reply = Message::Verdict {
+                    game_id: s.game_id,
+                    accepted,
+                    detail,
                 };
-                if !st.served_verdicts.insert((vid, attempt)) {
-                    continue;
-                }
-                let (accepted, detail) = match st.verifier_verdicts.get(&vid) {
-                    Some(memoized) => memoized.clone(),
-                    // Not `entry().or_insert_with(..)`: the closure would
-                    // capture `self` alongside the live `recv_buf` drain.
-                    None => {
-                        let computed = self.verifiers[i].verify(spec, &advice);
-                        st.verifier_verdicts.insert(vid, computed.clone());
-                        computed
-                    }
-                };
-                self.send_buf.push((
-                    vid,
-                    from,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(Message::Verdict {
-                            game_id,
-                            accepted,
-                            detail,
-                        }),
-                    },
-                ));
+                self.send_buf
+                    .push((verifier.id, from, frame(s.game_id, attempt, reply)));
             }
         }
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("agent registered");
+        self.send_frames();
     }
 
     /// Agent-side collection pass: takes the first advice-with-proof and
-    /// the first verdict per verifier for this session, dropping
+    /// the first verdict per panel member for this session, dropping
     /// duplicates (idempotent receive) and frames from other sessions.
-    fn collect_agent(&mut self, st: &mut ResilientState, agent: Party, game_id: u64) {
+    fn collect_agent(&mut self, s: &mut Session<'_>) {
         self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
+        self.endpoints[&s.agent].drain_into(&mut self.recv_buf);
         for (from, msg) in self.recv_buf.drain(..) {
-            let Message::Resilient { session, inner, .. } = msg else {
-                continue;
-            };
-            if session != game_id {
-                continue;
-            }
-            match *inner {
-                Message::AdviceWithProof { advice, .. } if st.agent_advice.is_none() => {
-                    st.agent_advice = Some(*advice);
+            match unframe(msg) {
+                Some((session, _, Message::AdviceWithProof { advice, .. }))
+                    if session == s.game_id && s.agent_advice.is_none() =>
+                {
+                    s.agent_advice = Some(Arc::new(*advice));
                 }
-                Message::Verdict {
-                    accepted, detail, ..
-                } => {
-                    st.agent_verdicts.entry(from).or_insert((accepted, detail));
+                Some((
+                    session,
+                    _,
+                    Message::Verdict {
+                        accepted, detail, ..
+                    },
+                )) if session == s.game_id && s.panel.contains(&from) => {
+                    s.agent_verdicts.entry(from).or_insert((accepted, detail));
                 }
                 _ => {}
             }
@@ -1021,28 +799,143 @@ impl SessionDriver {
     }
 }
 
-/// Scratch state for one resilient session: the responders' dedup sets
-/// and memoized answers, plus what the agent has collected so far.
-#[derive(Default)]
-struct ResilientState {
+/// Resilience off: the Fig. 1 flow sent once. One attempt per hop, one
+/// service pass per stage (the zero deadline closes each wait window
+/// after its first pass) and a quorum of the whole live panel, so a
+/// starved stage is a [`ConsultError::Deadline`], never a partial vote.
+const SINGLE_SHOT: ResilienceConfig = ResilienceConfig {
+    deadline: 0,
+    quorum: usize::MAX,
+    max_attempts: 1,
+    backoff: BackoffConfig {
+        base: 1,
+        factor: 1,
+        cap: 1,
+        jitter: 0,
+    },
+    seed: 0,
+};
+
+/// Frames attempt `attempt` of a hop. The first attempt travels bare —
+/// its session is the frame's own game id — so it moves exactly the
+/// Fig. 1 bytes; only retries pay for the [`Message::Resilient`]
+/// envelope that lets receivers dedup them and the ledger count them as
+/// retransmits.
+fn frame(session: u64, attempt: u32, inner: Message) -> Message {
+    if attempt == 0 {
+        inner
+    } else {
+        Message::Resilient {
+            session,
+            attempt,
+            inner: Box::new(inner),
+        }
+    }
+}
+
+/// The inverse of [`frame`]: `(session, attempt, message)` for a session
+/// frame, `None` for anything else.
+fn unframe(msg: Message) -> Option<(u64, u32, Message)> {
+    match msg {
+        Message::Resilient {
+            session,
+            attempt,
+            inner,
+        } => Some((session, attempt, *inner)),
+        Message::AdviceRequest { game_id }
+        | Message::AdviceWithProof { game_id, .. }
+        | Message::VerdictRequest { game_id, .. }
+        | Message::Verdict { game_id, .. } => Some((game_id, 0, msg)),
+        _ => None,
+    }
+}
+
+/// One consultation's state: its parameters, the responders' dedup sets
+/// and memoized answers, and what the agent has collected so far.
+struct Session<'a> {
+    agent: Party,
+    game_id: u64,
+    spec: &'a GameSpec,
+    cfg: ResilienceConfig,
+    /// Virtual tick the session started at, and its budget's end.
+    started: u64,
+    deadline_at: u64,
+    /// Trusted verifiers polled in the panel stage, in panel order.
+    panel: Vec<Party>,
     /// Advice-request attempts the inventor has already answered.
     served_advice: HashSet<u32>,
-    /// Whether the inventor has computed (or declined) its advice.
-    advice_computed: bool,
-    /// The inventor's memoized advice for this session.
-    inventor_advice: Option<Advice>,
+    /// The inventor's memoized advice (`Some(None)`: it has none).
+    inventor_advice: Option<Option<Advice>>,
+    /// Whether the inventor declined: it has no advice for the game.
+    declined: bool,
     /// `(verifier, attempt)` verdict requests already answered.
     served_verdicts: HashSet<(Party, u32)>,
     /// Verifier-side memoized verdicts.
     verifier_verdicts: HashMap<Party, (bool, String)>,
-    /// The first advice-with-proof the agent received.
-    agent_advice: Option<Advice>,
-    /// First verdict per verifier collected by the agent.
+    /// The first advice-with-proof the agent received, shared with the
+    /// panel fan-out.
+    agent_advice: Option<Arc<Advice>>,
+    /// First verdict per panel member collected by the agent.
     agent_verdicts: HashMap<Party, (bool, String)>,
     /// Driver-side retransmitted request frames.
     retransmits: u64,
     /// Encoded length of the advice-with-proof payload (Lemma 1).
     advice_bytes: usize,
+}
+
+impl<'a> Session<'a> {
+    fn new(
+        agent: Party,
+        game_id: u64,
+        spec: &'a GameSpec,
+        cfg: ResilienceConfig,
+        started: u64,
+    ) -> Session<'a> {
+        Session {
+            agent,
+            game_id,
+            spec,
+            cfg,
+            started,
+            deadline_at: started.saturating_add(cfg.deadline),
+            panel: Vec::new(),
+            served_advice: HashSet::new(),
+            inventor_advice: None,
+            declined: false,
+            served_verdicts: HashSet::new(),
+            verifier_verdicts: HashMap::new(),
+            agent_advice: None,
+            agent_verdicts: HashMap::new(),
+            retransmits: 0,
+            advice_bytes: 0,
+        }
+    }
+
+    /// Whether `stage` has everything it waits for.
+    fn complete(&self, stage: ConsultStage) -> bool {
+        match stage {
+            ConsultStage::Advice => self.agent_advice.is_some() || self.declined,
+            ConsultStage::Panel => self.agent_verdicts.len() == self.panel.len(),
+        }
+    }
+
+    /// The typed failure of a `stage` that starved at tick `now`.
+    fn starved(
+        &self,
+        stage: ConsultStage,
+        now: u64,
+        quorum: usize,
+        missing: Vec<Party>,
+    ) -> ConsultError {
+        ConsultError::Deadline {
+            stage,
+            attempts: self.retransmits,
+            elapsed: now.saturating_sub(self.started),
+            received: self.agent_verdicts.len(),
+            quorum,
+            missing,
+        }
+    }
 }
 
 /// The assembled single-bus infrastructure: one [`SessionDriver`] plus
@@ -1155,18 +1048,19 @@ impl RationalityAuthority {
     ///
     /// # Panics
     ///
-    /// With a resilience budget attached, panics if the consultation's
-    /// budget runs out — use [`RationalityAuthority::try_consult`] to
-    /// handle [`ConsultError`] instead. Without one this never panics.
+    /// Panics if the consultation fails — a silent or unreachable
+    /// inventor, or a verifier panel below quorum; use
+    /// [`RationalityAuthority::try_consult`] to handle [`ConsultError`]
+    /// instead.
     pub fn consult(&mut self, agent_id: u64, spec: &GameSpec) -> SessionOutcome {
         let game_id = self.next_game_id;
         self.next_game_id += 1;
         self.driver.run(Party::Agent(agent_id), game_id, spec)
     }
 
-    /// [`RationalityAuthority::consult`] with typed failure: resilient
-    /// sessions whose deadline budget starves return
-    /// [`ConsultError::Deadline`]. The game id is consumed either way.
+    /// [`RationalityAuthority::consult`] with typed failure: a session
+    /// whose stage starves returns [`ConsultError::Deadline`]. The game id
+    /// is consumed either way.
     pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
         let game_id = self.next_game_id;
         self.next_game_id += 1;
@@ -1226,15 +1120,24 @@ mod tests {
         }
     }
 
+    /// The stage a failed consultation starved in.
+    fn starved_stage(result: ConsultResult) -> ConsultStage {
+        match result {
+            Ok(outcome) => panic!("expected a deadline, got {outcome:?}"),
+            Err(ConsultError::Deadline { stage, .. }) => stage,
+        }
+    }
+
     #[test]
     fn silent_inventor_yields_no_adoption() {
+        // Single-shot: no advice is a typed advice-stage failure, not an
+        // outcome without advice.
         let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Silent),
             &[VerifierBehavior::Honest; 3],
         );
-        let outcome = authority.consult(0, &all_specs()[0]);
-        assert!(!outcome.adopted);
-        assert!(outcome.advice.is_none());
+        let result = authority.try_consult(0, &all_specs()[0]);
+        assert_eq!(starved_stage(result), ConsultStage::Advice);
     }
 
     #[test]
@@ -1309,20 +1212,80 @@ mod tests {
         authority
             .bus()
             .drop_link(Party::Inventor(0), Party::Agent(0));
-        let outcome = authority.consult(0, &spec);
-        assert!(!outcome.adopted);
-        assert!(outcome.advice.is_none());
+        let result = authority.try_consult(0, &spec);
+        assert_eq!(starved_stage(result), ConsultStage::Advice);
     }
 
     #[test]
-    fn trust_hit_skips_the_protocol_entirely() {
+    fn declining_inventor_ends_the_consult_without_advice() {
+        // An honest inventor has no pure-Nash advice for matching pennies:
+        // it declines, which is an outcome, not a starved stage — single-
+        // shot or resilient, with no retries and no panel poll.
+        let spec = GameSpec::Strategic(ra_games::named::matching_pennies().to_strategic());
+        for resilience in [None, Some(ResilienceConfig::default())] {
+            let mut authority = RationalityAuthority::new(
+                Inventor::new(0, InventorBehavior::Honest),
+                &[VerifierBehavior::Honest; 3],
+            );
+            authority.set_resilience(resilience);
+            let outcome = authority.try_consult(0, &spec).expect("a decline");
+            assert!(outcome.advice.is_none() && outcome.majority.is_none());
+            assert!(!outcome.adopted);
+            assert_eq!(outcome.attempts, 0);
+            assert_eq!(
+                outcome.session_bytes,
+                Message::AdviceRequest { game_id: 1 }.encoded_len(),
+                "only the request crossed the wire"
+            );
+        }
+    }
+
+    #[test]
+    fn disconnected_inventor_is_an_advice_deadline_not_a_panic() {
+        // A send to an unregistered party is a lost frame, not a panic.
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        authority.bus().disconnect(Party::Inventor(0));
+        let result = authority.try_consult(0, &spec);
+        assert_eq!(starved_stage(result), ConsultStage::Advice);
+    }
+
+    #[test]
+    fn disconnected_verifier_is_a_panel_deadline_not_a_panic() {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        let gone = Party::Verifier(1);
+        authority.bus().disconnect(gone);
+        let Err(ConsultError::Deadline {
+            stage,
+            received,
+            quorum,
+            missing,
+            ..
+        }) = authority.try_consult(0, &spec)
+        else {
+            panic!("a single-shot panel missing a verifier must fail");
+        };
+        assert_eq!(stage, ConsultStage::Panel);
+        assert_eq!((received, quorum), (2, 3));
+        assert_eq!(missing, vec![gone]);
+    }
+
+    #[test]
+    fn cache_hit_skips_the_protocol_entirely() {
         use crate::cache::CertCacheConfig;
         for spec in all_specs() {
             let mut authority = RationalityAuthority::new(
                 Inventor::new(0, InventorBehavior::Honest),
                 &[VerifierBehavior::Honest; 3],
             );
-            authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+            authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
             let cold = authority.consult(0, &spec);
             assert!(!cold.cached);
             assert!(cold.session_bytes > 0);
@@ -1467,7 +1430,7 @@ mod tests {
                 VerifierBehavior::AlwaysReject,
             ],
         );
-        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
         let saboteur = Party::Verifier(2);
         let cold = authority.consult(0, &spec);
         assert!(cold.adopted);
@@ -1494,11 +1457,10 @@ mod tests {
             Inventor::new(0, InventorBehavior::Silent),
             &[VerifierBehavior::Honest; 3],
         );
-        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
         for round in 0..3 {
-            let outcome = authority.consult(round, &spec);
-            assert!(!outcome.cached, "adviceless outcomes never hit");
-            assert!(outcome.advice.is_none());
+            let result = authority.try_consult(round, &spec);
+            assert_eq!(starved_stage(result), ConsultStage::Advice);
         }
         let stats = authority.cert_cache().unwrap().stats();
         assert_eq!((stats.hits, stats.misses), (0, 3));
@@ -1530,6 +1492,7 @@ mod tests {
     // ---- session resilience -------------------------------------------
 
     use crate::simnet::{LinkProfile, SimNet, SimNetConfig};
+    use crate::transport::BusError;
 
     fn resilient_authority(
         inventor: InventorBehavior,
@@ -1549,55 +1512,69 @@ mod tests {
 
     #[test]
     fn resilient_over_perfect_bus_matches_legacy_outcome() {
+        // Attempt 0 travels bare, so on a lossless link — the perfect bus
+        // or a lossless SimNet — a resilient consult moves exactly the
+        // single-shot bytes in the same ledger order.
+        let transports: [fn() -> Arc<dyn Transport>; 2] =
+            [|| Arc::new(Bus::new()), || Arc::new(SimNet::lossless(5))];
         for spec in all_specs() {
-            let mut legacy = RationalityAuthority::new(
-                Inventor::new(0, InventorBehavior::Honest),
-                &[VerifierBehavior::Honest; 3],
-            );
-            let mut resilient = RationalityAuthority::new(
-                Inventor::new(0, InventorBehavior::Honest),
-                &[VerifierBehavior::Honest; 3],
-            );
-            resilient.set_resilience(Some(ResilienceConfig::default()));
-            let want = legacy.consult(0, &spec);
-            let got = resilient.try_consult(0, &spec).expect("perfect bus");
-            assert_eq!(got.advice, want.advice, "spec {spec:?}");
-            assert_eq!(got.majority, want.majority);
-            assert_eq!(got.adopted, want.adopted);
-            assert_eq!(got.verdict_details, want.verdict_details);
-            assert_eq!(got.panel, PanelOutcome::Full);
-            assert_eq!(got.attempts, 0, "perfect bus needs no retries");
-            assert_eq!(resilient.bus().retransmit_bytes(), 0);
-            // The envelope costs bytes; goodput still accounts them all.
-            assert!(got.session_bytes > want.session_bytes);
-            assert_eq!(
-                resilient.bus().goodput_bytes(),
-                resilient.bus().total_bytes()
-            );
+            for transport in transports {
+                let honest = &[VerifierBehavior::Honest; 3];
+                let mut legacy = RationalityAuthority::with_transport(
+                    Inventor::new(0, InventorBehavior::Honest),
+                    honest,
+                    Arc::new(LocalReputation::new()),
+                    transport(),
+                );
+                let cfg = ResilienceConfig::default();
+                let mut resilient =
+                    resilient_authority(InventorBehavior::Honest, honest, transport(), cfg);
+                let want = legacy.consult(0, &spec);
+                let got = resilient.try_consult(0, &spec).expect("lossless link");
+                assert_eq!(got.advice, want.advice, "spec {spec:?}");
+                assert_eq!(got.majority, want.majority);
+                assert_eq!(got.adopted, want.adopted);
+                assert_eq!(got.verdict_details, want.verdict_details);
+                assert_eq!(got.panel, PanelOutcome::Full);
+                assert_eq!(got.attempts, 0, "a lossless link needs no retries");
+                assert_eq!(got.session_bytes, want.session_bytes);
+                assert_eq!(resilient.bus().delivery_log(), legacy.bus().delivery_log());
+                assert_eq!(resilient.bus().retransmit_bytes(), 0);
+            }
         }
     }
 
     #[test]
     fn resilience_off_is_byte_identical_to_legacy() {
-        // The legacy protocol must not pay for the feature it didn't ask
-        // for: a driver with no config attached moves exactly the same
-        // bytes as before the resilience layer existed.
+        // The single-shot protocol must not pay for the feature it didn't
+        // ask for: a driver whose config was attached and then removed
+        // moves exactly the same bytes, in the same order, as one that
+        // never had it.
+        let transports: [fn() -> Arc<dyn Transport>; 2] =
+            [|| Arc::new(Bus::new()), || Arc::new(SimNet::lossless(5))];
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        let mut a = RationalityAuthority::new(
-            Inventor::new(0, InventorBehavior::Honest),
-            &[VerifierBehavior::Honest; 3],
-        );
-        let mut b = RationalityAuthority::new(
-            Inventor::new(0, InventorBehavior::Honest),
-            &[VerifierBehavior::Honest; 3],
-        );
-        b.set_resilience(Some(ResilienceConfig::default()));
-        b.set_resilience(None);
-        let want = a.consult(0, &spec);
-        let got = b.consult(0, &spec);
-        assert_eq!(got.session_bytes, want.session_bytes);
-        assert_eq!(got.attempts, 0);
-        assert_eq!(b.bus().retransmit_bytes(), 0);
+        for transport in transports {
+            let honest = &[VerifierBehavior::Honest; 3];
+            let mut legacy = RationalityAuthority::with_transport(
+                Inventor::new(0, InventorBehavior::Honest),
+                honest,
+                Arc::new(LocalReputation::new()),
+                transport(),
+            );
+            let mut toggled = resilient_authority(
+                InventorBehavior::Honest,
+                honest,
+                transport(),
+                ResilienceConfig::default(),
+            );
+            toggled.set_resilience(None);
+            let want = legacy.consult(0, &spec);
+            let got = toggled.consult(0, &spec);
+            assert_eq!(got.session_bytes, want.session_bytes);
+            assert_eq!(got.attempts, 0);
+            assert_eq!(toggled.bus().delivery_log(), legacy.bus().delivery_log());
+            assert_eq!(toggled.bus().retransmit_bytes(), 0);
+        }
     }
 
     #[test]
@@ -1634,11 +1611,126 @@ mod tests {
         );
     }
 
+    /// A transport that records every frame it is asked to send, over a
+    /// [`SimNet`] that does the delivering and the accounting.
+    #[derive(Debug)]
+    struct Recording {
+        net: SimNet,
+        sent: std::sync::Mutex<Vec<(Party, Message)>>,
+    }
+
+    impl Transport for Recording {
+        fn register(&self, party: Party) -> Endpoint {
+            self.net.register(party)
+        }
+        fn disconnect(&self, party: Party) {
+            self.net.disconnect(party);
+        }
+        fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+            self.sent.lock().unwrap().push((from, message.clone()));
+            self.net.send(from, to, message)
+        }
+        fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
+            let mut sent = self.sent.lock().unwrap();
+            sent.extend(batch.iter().map(|(from, _, m)| (*from, m.clone())));
+            self.net.send_batch(batch)
+        }
+        fn drop_link(&self, from: Party, to: Party) {
+            Transport::drop_link(&self.net, from, to);
+        }
+        fn heal(&self) {
+            Transport::heal(&self.net);
+        }
+        fn settle(&self) {
+            self.net.settle();
+        }
+        fn total_bytes(&self) -> usize {
+            Transport::total_bytes(&self.net)
+        }
+        fn delivered_bytes(&self) -> usize {
+            Transport::delivered_bytes(&self.net)
+        }
+        fn bytes_between(&self, from: Party, to: Party) -> usize {
+            Transport::bytes_between(&self.net, from, to)
+        }
+        fn delivery_log(&self) -> Vec<crate::transport::DeliveryRecord> {
+            Transport::delivery_log(&self.net)
+        }
+        fn message_count(&self) -> usize {
+            Transport::message_count(&self.net)
+        }
+        fn retransmit_bytes(&self) -> usize {
+            Transport::retransmit_bytes(&self.net)
+        }
+        fn now(&self) -> u64 {
+            self.net.now()
+        }
+        fn advance(&self, ticks: u64) {
+            Transport::advance(&self.net, ticks);
+        }
+    }
+
     #[test]
-    fn legacy_lossy_link_pins_quiet_minority_vote() {
-        // The documented legacy hazard this PR's quorum layer fixes:
-        // with resilience off, dropping the request links to two of three
-        // verifiers silently shrinks the panel vote to a single voice.
+    fn first_attempts_travel_bare_and_only_retries_are_enveloped() {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let recording = Arc::new(Recording {
+            net: SimNet::new(SimNetConfig {
+                seed: 7,
+                default_link: LinkProfile::lossy(0.4),
+                ..SimNetConfig::default()
+            }),
+            sent: std::sync::Mutex::new(Vec::new()),
+        });
+        let mut authority = resilient_authority(
+            InventorBehavior::Honest,
+            &[VerifierBehavior::Honest; 3],
+            Arc::clone(&recording) as Arc<dyn Transport>,
+            ResilienceConfig::default(),
+        );
+        let mut retries = 0;
+        for round in 0..20 {
+            retries += authority
+                .try_consult(round, &spec)
+                .expect("budget")
+                .attempts;
+        }
+        assert!(retries > 0, "40% loss over 20 consults forces retries");
+        let sent = recording.sent.lock().unwrap();
+        let mut first_requests = HashSet::new();
+        let (mut agent_retries, mut retry_bytes) = (0, 0);
+        for (from, frame) in sent.iter() {
+            match frame {
+                Message::Resilient {
+                    session, attempt, ..
+                } => {
+                    assert!(*attempt >= 1, "attempt 0 never wears the envelope");
+                    assert!(
+                        first_requests.contains(session),
+                        "a retry follows its session's bare first request"
+                    );
+                    agent_retries += u64::from(matches!(from, Party::Agent(_)));
+                    retry_bytes += frame.encoded_len();
+                }
+                Message::AdviceRequest { game_id } => {
+                    assert!(first_requests.insert(*game_id), "one bare advice request");
+                }
+                Message::AdviceWithProof { .. }
+                | Message::VerdictRequest { .. }
+                | Message::Verdict { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(first_requests.len(), 20);
+        assert_eq!(agent_retries, retries, "every retry is an enveloped frame");
+        assert_eq!(authority.bus().retransmit_bytes(), retry_bytes);
+    }
+
+    #[test]
+    fn single_shot_quiet_minority_is_a_panel_deadline() {
+        // With resilience off, dropping the request links to two of three
+        // verifiers leaves one verdict. The single-shot quorum is the
+        // whole live panel, so the session fails loudly instead of
+        // pooling that one voice as if the panel had spoken.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
@@ -1650,10 +1742,25 @@ mod tests {
         authority
             .bus()
             .drop_link(Party::Agent(0), Party::Verifier(2));
-        let outcome = authority.consult(0, &spec);
-        assert!(outcome.adopted, "one verdict is quietly pooled as if full");
-        assert_eq!(outcome.majority.unwrap().accept_votes, 1);
-        assert_eq!(outcome.panel, PanelOutcome::Full);
+        let Err(ConsultError::Deadline {
+            stage,
+            attempts,
+            received,
+            quorum,
+            missing,
+            ..
+        }) = authority.try_consult(0, &spec)
+        else {
+            panic!("one verdict of three must not be pooled");
+        };
+        assert_eq!(stage, ConsultStage::Panel);
+        assert_eq!((received, quorum, attempts), (1, 3, 0));
+        assert_eq!(missing, vec![Party::Verifier(1), Party::Verifier(2)]);
+        assert_eq!(
+            authority.reputation().score(Party::Verifier(1)),
+            LocalReputation::INITIAL,
+            "sub-quorum silence is not punished"
+        );
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl ShardedAuthority {
     ///     InventorBehavior::Honest,
     ///     &[VerifierBehavior::Honest; 3],
     ///     ReputationConfig::default(),
-    ///     CertCacheConfig::trust(1024),
+    ///     CertCacheConfig::replay(1024),
     /// );
     /// let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
     /// for agent in 0..16u64 {
@@ -620,6 +620,12 @@ impl ShardedAuthority {
     /// runs [`ShardedAuthority::sync_reputation`] after the consultation
     /// completes — off the hot path, which itself only takes the shard's
     /// own locks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the consultation fails (see
+    /// [`RationalityAuthority::consult`]); use
+    /// [`ShardedAuthority::try_consult`] to handle that.
     pub fn consult(&self, agent_id: u64, spec: &GameSpec) -> SessionOutcome {
         let outcome = self.shards[self.shard_of(agent_id)]
             .lock()
@@ -629,9 +635,9 @@ impl ShardedAuthority {
         outcome
     }
 
-    /// [`ShardedAuthority::consult`] with typed failure: resilient
-    /// sessions whose deadline budget starves return
-    /// [`crate::ConsultError::Deadline`] instead of panicking. Failed
+    /// [`ShardedAuthority::consult`] with typed failure: sessions whose
+    /// stage starves return [`crate::ConsultError::Deadline`] instead of
+    /// panicking. Failed
     /// consultations still advance the engine-wide gossip counters (they
     /// consumed a stream slot) but contribute no dissents — no verdict
     /// was pooled.
@@ -694,15 +700,15 @@ impl ShardedAuthority {
             .into_iter()
             .map(|result| match result {
                 Ok(outcome) => outcome,
-                Err(e) => panic!(
-                    "resilient consultation failed ({e}); use try_consult_batch to handle errors"
-                ),
+                Err(e) => {
+                    panic!("consultation failed ({e}); use try_consult_batch to handle errors")
+                }
             })
             .collect()
     }
 
     /// [`ShardedAuthority::consult_batch`] with typed failure per
-    /// request: a resilient session whose budget starves yields
+    /// request: a session whose stage starves yields
     /// [`crate::ConsultError::Deadline`] at its slot without disturbing
     /// the rest of the batch. Determinism is unchanged — errors occupy
     /// their request slots, and each shard's jitter stream advances in
@@ -1594,7 +1600,7 @@ mod tests {
 
     #[test]
     fn shared_cache_serves_hits_across_shards_for_zero_bytes() {
-        let engine = cached_engine(CertCacheConfig::trust(1024));
+        let engine = cached_engine(CertCacheConfig::replay(1024));
         let spec = spec_for_tests();
         // Sequential consults so the miss/hit split is exact: the first
         // consult (whichever shard it routes to) populates the shared
@@ -1689,7 +1695,7 @@ mod tests {
             InventorBehavior::Honest,
             &saboteur_panel(),
             ReputationConfig::default(),
-            CertCacheConfig::trust(64),
+            CertCacheConfig::replay(64),
         );
         let spec = spec_for_tests();
         let cold = engine.consult(0, &spec);

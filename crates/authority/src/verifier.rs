@@ -80,8 +80,8 @@ impl VerifierService {
 ///
 /// This is the trusted-checker boundary of the proof-carrying split: an
 /// honest verifier runs exactly this, and the certificate cache replays it
-/// on [`CacheMode::Replay`](crate::cache::CacheMode::Replay) hits — the
-/// expensive solve/panel path is skipped, the cheap kernel check is not.
+/// on every hit — the expensive solve/panel path is skipped, the cheap
+/// kernel check is not.
 /// It is deterministic in `(spec, advice)`.
 pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, String) {
     match (spec, advice) {

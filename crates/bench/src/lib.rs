@@ -89,6 +89,25 @@ pub fn write_json(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
+/// Nearest-rank percentile `q ∈ [0, 1]` of an ascending-sorted slice; the
+/// sample type's default (zero) for an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// The seed of the seeded fault benches: `RA_SCENARIO_SEED` when set to an
+/// integer (CI pins it, so snapshots replay bit for bit), else a fixed
+/// default.
+pub fn scenario_seed() -> u64 {
+    std::env::var("RA_SCENARIO_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xDEC0DE)
+}
+
 /// Constructs an `m × m` bimatrix game whose unique equilibrium mixes
 /// uniformly over the first `support_size` strategies of each agent
 /// (a generalized rock-paper-scissors block padded with strictly dominated
@@ -202,5 +221,16 @@ mod tests {
         assert!(fmt_secs(0.0000005).ends_with("µs"));
         assert!(fmt_secs(0.005).ends_with("ms"));
         assert!(fmt_secs(2.5).ends_with('s'));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_over_any_sample_type() {
+        let ticks = [1u64, 2, 3, 4, 5];
+        assert_eq!(percentile(&ticks, 0.0), 1);
+        assert_eq!(percentile(&ticks, 0.5), 3);
+        assert_eq!(percentile(&ticks, 1.0), 5);
+        assert_eq!(percentile(&[0.5f64, 1.5], 0.99), 1.5);
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        assert_eq!(percentile::<f64>(&[], 0.5), 0.0);
     }
 }
